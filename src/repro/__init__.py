@@ -19,8 +19,8 @@ Subpackages
 ``repro.experiments``  one harness per paper table/figure (+ the
                        ``defenses`` policy-comparison sweep)
 ``repro.fleet``        declarative multi-server scenarios, open-loop
-                       serving, per-server sharding (``repro.fleet.shard``),
-                       elastic lifecycle: churn, autoscaling, rebalancing
+                       serving, the per-server ``fleet`` sweep, elastic
+                       lifecycle: churn, autoscaling, rebalancing
                        (``repro.fleet.elastic``)
 ``repro.snap``         checkpoint/restore by deterministic re-execution
 ``repro.faults``       fault injection and chaos harnesses

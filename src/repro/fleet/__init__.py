@@ -16,11 +16,8 @@ one-off experiments:
   percentiles and SLO-violation accounting;
 * **sweep** (:mod:`repro.fleet.sweep`) -- the ``fleet`` runner sweep:
   shared vs gapped racks across consolidation levels, one
-  digest-deterministic cell per simulated server;
-* **shard** (:mod:`repro.fleet.shard`) -- shared-nothing per-server
-  sharding of one scenario: each server runs as its own runner cell
-  and the outcomes merge back deterministically (tenant rows in server
-  order, timelines interleaved by timestamp);
+  digest-deterministic cell per simulated server (servers are
+  independent simulations, so a cell boots and serves one server);
 * **recovery** (:mod:`repro.fleet.recovery`) -- the checkpoint/restore
   supervisor: periodic :mod:`repro.snap` checkpoints during serving,
   verified restore + fault detach when a server dies, and SLO-honest
@@ -61,20 +58,11 @@ from .scenario import (
     Fleet,
     FleetResult,
     TenantResult,
-    boot_scenario,
     boot_server,
     boot_vm,
     drain_and_finish,
     run_server,
     tenant_results,
-)
-from .shard import (
-    ShardOutcome,
-    ShardedFleetResult,
-    merge_shards,
-    merge_timelines,
-    run_scenario_sharded,
-    shard_cells,
 )
 from .spec import (
     DeviceSpec,
@@ -109,15 +97,12 @@ __all__ = [
     "RecoveryReport",
     "RestoreEvent",
     "ScenarioSpec",
-    "ShardOutcome",
-    "ShardedFleetResult",
     "TenantResult",
     "TenantSpec",
     "TenantStats",
     "TrafficSpec",
     "VmSpec",
     "audit_server",
-    "boot_scenario",
     "boot_server",
     "boot_vm",
     "build_recoverable_server",
@@ -126,16 +111,12 @@ __all__ = [
     "drain_and_finish",
     "elastic_cells",
     "fleet_cells",
-    "merge_shards",
-    "merge_timelines",
     "place",
     "redis_tenant",
     "run_elastic",
     "run_elastic_sweep",
     "run_fleet",
-    "run_scenario_sharded",
     "run_server",
-    "shard_cells",
     "run_server_with_recovery",
     "server_capacity",
     "tenant_results",

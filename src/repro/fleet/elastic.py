@@ -33,8 +33,8 @@ This module promotes the boot-time spec into a lifecycle API:
 
 Servers remain independent simulations.  The controller interleaves
 them on a common *fleet clock* — epoch boundaries in serving time — so
-the whole elastic run is deterministic for a given seed and shards
-into runner cells (one elastic scenario per cell) with digest-stable
+the whole elastic run is deterministic for a given seed and runs as
+runner cells (one elastic scenario per cell) with digest-stable
 results across ``--jobs``.
 """
 
@@ -44,6 +44,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Tuple
 
+from ..analysis.stats import percentile
 from ..costs import CostModel, DEFAULT_COSTS
 from ..host.planner import AdmissionError
 from ..host.threads import HostThread, SchedClass
@@ -64,6 +65,8 @@ from .scenario import (
     Fleet,
     boot_server,
     boot_vm,
+    drain_and_finish,
+    drain_clients,
 )
 from .spec import ScenarioSpec, TenantSpec, resolve_admission
 from .traffic import OpenLoopClient
@@ -264,8 +267,9 @@ def churn_schedule(
 class FleetController:
     """Lifecycle owner of one booted fleet.
 
-    Construction performs the static boot (exactly the sequence
-    ``boot_scenario`` always performed); afterwards the lifecycle
+    Construction performs the static boot (place, then
+    :func:`~repro.fleet.scenario.boot_server` per server, exactly what
+    ``ScenarioSpec.boot()`` returns); afterwards the lifecycle
     verbs mutate the fleet while keeping the controller's capacity
     view, the planner's core allocations and the event timeline in
     lock-step.  All verbs other than construction require core-gapped
@@ -296,7 +300,6 @@ class FleetController:
             for index in range(len(spec.servers))
         ]
         self.fleet = Fleet(spec, placement, servers)
-        self.fleet.controller = self
         self.timeline: List[FleetEvent] = []
         self.counts: Dict[str, int] = {
             "admit": 0,
@@ -541,14 +544,7 @@ class FleetController:
         clients = [c for c in server.clients if c.tenant.name == name]
         for client in clients:
             client.stop()
-        if clients and drain_ns > 0:
-            try:
-                system.run_until(
-                    lambda: all(c.drained for c in clients),
-                    limit_ns=drain_ns,
-                )
-            except SimulationError:
-                pass  # drain budget spent; leftovers count as dropped
+        drain_clients(system, clients, drain_ns)
         booted = self.booted[name]
         self._run_planner(
             server,
@@ -655,14 +651,7 @@ class FleetController:
         clients = [c for c in src.clients if c.tenant.name == name]
         for client in clients:
             client.stop()
-        if clients and policy.drain_ns > 0:
-            try:
-                src.system.run_until(
-                    lambda: all(c.drained for c in clients),
-                    limit_ns=policy.drain_ns,
-                )
-            except SimulationError:
-                pass
+        drain_clients(src.system, clients, policy.drain_ns)
         # 2. pack the migration image and digest it (transfer integrity)
         image = {
             "tenant": name,
@@ -742,25 +731,7 @@ class FleetController:
         for server in self.fleet.servers:
             for client in server.clients:
                 client.stop()
-            drain_ns = self.spec.drain_ns
-            if server.clients and drain_ns > 0:
-                try:
-                    server.system.run_until(
-                        lambda s=server: all(
-                            c.drained for c in s.clients
-                        ),
-                        limit_ns=drain_ns,
-                    )
-                except SimulationError:
-                    pass
-            server.system.finish()
-            metrics = server.system.metrics
-            metrics.gauge("fleet_offered_count").set(
-                sum(c.stats.issued for c in server.clients)
-            )
-            metrics.gauge("fleet_dropped_count").set(
-                sum(c.stats.dropped for c in server.clients)
-            )
+            drain_and_finish(server, self.spec)
             self.audit_transitions(server, "finish")
         self._publish_gauges()
 
@@ -787,17 +758,6 @@ class FleetController:
             latencies: List[int] = []
             for client in clients:
                 latencies.extend(client.stats.latencies_ns)
-            latencies.sort()
-
-            def pct(p: float) -> float:
-                if not latencies:
-                    return 0.0
-                k = min(
-                    len(latencies) - 1,
-                    max(0, math.ceil(p / 100 * len(latencies)) - 1),
-                )
-                return latencies[k] / 1e6
-
             dropped = issued - completed
             rows.append(
                 ElasticTenantRow(
@@ -810,8 +770,8 @@ class FleetController:
                     dropped=dropped,
                     slo_violations=slo_late + dropped,
                     migration_slo_charge=history["migration_slo_charge"],
-                    p50_ms=pct(50),
-                    p99_ms=pct(99),
+                    p50_ms=percentile(latencies, 50) / 1e6,
+                    p99_ms=percentile(latencies, 99) / 1e6,
                     resizes=history["resizes"],
                     migrations=history["migrations"],
                 )
@@ -963,7 +923,9 @@ def _maybe_rebalance(
         if server == fullest
     )
     for size, name in movable:
-        if size > controller.free[emptiest]:
+        # migrate rebuilds the CVM at its spec size, which exceeds the
+        # active count of a tenant the autoscaler shrank
+        if controller.tenants[name].vm.n_vcpus > controller.free[emptiest]:
             continue
         # the move must strictly reduce imbalance, not just shuffle it
         if (used[fullest] - size) - (used[emptiest] + size) <= -imbalance:

@@ -7,7 +7,7 @@ exit handling and interrupt delivery.  Placement therefore bin-packs
 tenants by *free non-host cores* and refuses (admission control) any
 tenant whose gap no longer fits -- exactly the refusal the in-simulation
 :class:`~repro.host.planner.CorePlanner` would produce, decided up
-front so a scenario can be sharded per server before anything boots.
+front so a scenario can run as one cell per server before anything boots.
 
 Shared-core servers have no gap; capacity is the core count itself
 (fair accounting, S5.1: no oversubscription in any comparison).

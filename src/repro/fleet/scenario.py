@@ -1,12 +1,14 @@
 """Boot a ScenarioSpec into running systems; run it; collect results.
 
-``boot_scenario`` turns a declarative :class:`~repro.fleet.spec.ScenarioSpec`
-into a :class:`Fleet` of booted servers.  Each server performs the exact
-sequence every harness used to hand-write -- build the
-:class:`~repro.experiments.system.System`, ``launch`` each guest,
-attach its devices, ``start`` it -- so a one-server scenario is
+:func:`boot_server` turns one server of a declarative
+:class:`~repro.fleet.spec.ScenarioSpec` into a :class:`BootedServer`.
+It performs the exact sequence every harness used to hand-write --
+build the :class:`~repro.experiments.system.System`, ``launch`` each
+guest, attach its devices, ``start`` it -- so a one-server scenario is
 bit-identical (same trace digest) to the imperative incantation it
-replaces; ``tests/fleet/`` pins that equivalence.
+replaces; ``tests/fleet/`` pins that equivalence.  ``ScenarioSpec.boot()``
+boots every server into a :class:`Fleet` through the lifecycle
+controller (:class:`~repro.fleet.elastic.FleetController`).
 
 Servers are independent simulations (their own
 :class:`~repro.sim.engine.Simulator`, their own seed), so a fleet can
@@ -37,9 +39,9 @@ __all__ = [
     "boot_vm",
     "boot_server",
     "run_server",
+    "drain_clients",
     "drain_and_finish",
     "tenant_results",
-    "boot_scenario",
 ]
 
 
@@ -122,10 +124,6 @@ class Fleet:
         self.spec = spec
         self.placement = placement
         self.servers = servers
-        #: the lifecycle controller that built this fleet (set by
-        #: :class:`~repro.fleet.elastic.FleetController`); None only
-        #: for fleets assembled by hand from boot_server slices
-        self.controller = None
 
     def run(self) -> FleetResult:
         """Serve traffic on every server and merge per-tenant results."""
@@ -176,7 +174,7 @@ def boot_server(
 ) -> BootedServer:
     """Boot one server and the tenants placed on it, in declaration order.
 
-    This is the per-server slice of :func:`boot_scenario`: because
+    This is the per-server slice of ``ScenarioSpec.boot()``: because
     servers are independent simulations, booting server *k* here is
     bit-identical to booting the whole fleet and looking at server *k*.
     """
@@ -204,24 +202,6 @@ def boot_server(
     return server
 
 
-def boot_scenario(
-    spec: ScenarioSpec,
-    costs: CostModel = DEFAULT_COSTS,
-    admission: str = "strict",
-) -> Fleet:
-    """Place every tenant, boot every server, return the running fleet.
-
-    The boot itself is the static special case of the elastic
-    lifecycle API: a :class:`~repro.fleet.elastic.FleetController` is
-    constructed around the spec and performs the exact place + boot
-    sequence this function always did (bit-identical digests, pinned
-    by ``tests/fleet/test_static_golden.py``).
-    """
-    from .elastic import FleetController  # lazy: avoid import cycle
-
-    return FleetController(spec, costs=costs, admission=admission).fleet
-
-
 # ---------------------------------------------------------------------------
 # run
 
@@ -242,18 +222,30 @@ def run_server(server: BootedServer, spec: ScenarioSpec) -> List[TenantResult]:
     return tenant_results(server)
 
 
-def drain_and_finish(server: BootedServer, spec: ScenarioSpec) -> None:
-    """The post-serving tail shared with the recovery supervisor: bounded
-    drain, ``System.finish``, and the offered/dropped gauges."""
-    system = server.system
-    if server.clients and spec.drain_ns > 0:
+def drain_clients(
+    system: System, clients: List[OpenLoopClient], budget_ns: int
+) -> None:
+    """Run ``system`` until every client has drained, within ``budget_ns``.
+
+    A spent budget is not an error: whatever is still unanswered counts
+    as dropped (the open-loop regime's honest outcome).
+    """
+    if clients and budget_ns > 0:
         try:
             system.run_until(
-                lambda: all(client.drained for client in server.clients),
-                limit_ns=spec.drain_ns,
+                lambda: all(client.drained for client in clients),
+                limit_ns=budget_ns,
             )
         except SimulationError:
-            pass  # drain budget spent; leftovers count as dropped
+            pass
+
+
+def drain_and_finish(server: BootedServer, spec: ScenarioSpec) -> None:
+    """The post-serving tail shared with the recovery supervisor and the
+    lifecycle controller: bounded drain, ``System.finish``, and the
+    offered/dropped gauges."""
+    system = server.system
+    drain_clients(system, server.clients, spec.drain_ns)
     system.finish()
     metrics = system.metrics
     metrics.gauge("fleet_offered_count").set(

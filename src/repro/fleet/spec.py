@@ -13,14 +13,13 @@ The imperative incantation every harness used to hand-roll --
   boots every accepted VM into a running :class:`~repro.fleet.scenario.Fleet`.
 
 Because the spec is pure data, the exact same scenario can run
-in-process (``spec.boot().run()``), be sharded into one runner cell per
-server (``repro.fleet.sweep``), or be rebuilt bit-identically inside a
-worker process -- same seed, same placement, same trace digests.
+in-process (``spec.boot().run()``), run as one runner cell per server
+(``repro.fleet.sweep``), or be rebuilt bit-identically inside a worker
+process -- same seed, same placement, same trace digests.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, replace
 from typing import Callable, Optional, Tuple
 
@@ -133,7 +132,7 @@ class ScenarioSpec:
 
     ``servers`` is one :class:`SystemConfig` per simulated server;
     servers are independent machines (no cross-server traffic), which
-    is what makes a scenario shardable into one runner cell per server.
+    is what lets a scenario run as one runner cell per server.
     """
 
     servers: Tuple[SystemConfig, ...]
@@ -161,8 +160,7 @@ class ScenarioSpec:
     def boot(
         self,
         costs: CostModel = DEFAULT_COSTS,
-        admission: Optional[str] = None,
-        strict: Optional[bool] = None,
+        admission: str = "strict",
     ):
         """Place + boot into a running :class:`~repro.fleet.scenario.Fleet`.
 
@@ -171,42 +169,18 @@ class ScenarioSpec:
         tenant cannot be admitted; ``admission="best_effort"`` boots
         the placeable subset and reports the rejections on the fleet.
 
-        The boolean ``strict=`` keyword is deprecated; it maps onto the
-        admission modes and warns.
-
         Static boot is the degenerate case of the elastic lifecycle
-        API: the returned fleet carries the
-        :class:`~repro.fleet.elastic.FleetController` that built it as
-        ``fleet.controller``, with the boot-time placement recorded on
-        its event timeline.
+        API: a :class:`~repro.fleet.elastic.FleetController` is
+        constructed around the spec and performs the place + boot,
+        recording the boot-time placement on its event timeline.
         """
-        admission = resolve_admission(admission, strict)
-        from .scenario import boot_scenario  # lazy: avoid import cycle
+        from .elastic import FleetController  # lazy: avoid import cycle
 
-        return boot_scenario(self, costs=costs, admission=admission)
+        return FleetController(self, costs=costs, admission=admission).fleet
 
 
-def resolve_admission(
-    admission: Optional[str], strict: Optional[bool] = None
-) -> str:
-    """Normalize the admission argument, warning on the old boolean.
-
-    ``boot(strict=True/False)`` was a boolean trap (``boot(False)``
-    read as nothing); the enum spells the behaviour out.  Passing both
-    spellings is an error; passing neither means ``"strict"``.
-    """
-    if strict is not None:
-        if admission is not None:
-            raise TypeError(
-                "pass either admission= or the deprecated strict=, not both"
-            )
-        warnings.warn(
-            "ScenarioSpec.boot(strict=...) is deprecated; use "
-            "admission='strict' or admission='best_effort'",
-            DeprecationWarning,
-            stacklevel=3,
-        )
-        admission = "strict" if strict else "best_effort"
+def resolve_admission(admission: Optional[str]) -> str:
+    """Validate an admission mode; ``None`` means ``"strict"``."""
     if admission is None:
         admission = "strict"
     if admission not in ADMISSION_MODES:

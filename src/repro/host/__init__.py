@@ -1,6 +1,5 @@
 """Host stack: kernel/scheduler, KVM, VMM device backends, planner."""
 
-from .hotplug import offline_core, online_core
 from .kernel import CVM_EXIT_SGI, HostKernel, RESCHED_SGI
 from .kvm import KvmVm, VmMode
 from .planner import AdmissionError, CorePlanner
@@ -38,6 +37,4 @@ __all__ = [
     "ThreadState",
     "VirtioBackend",
     "VmMode",
-    "offline_core",
-    "online_core",
 ]

@@ -19,9 +19,6 @@ kernel.  Every transition — successful or aborted — is appended to the
 controller's typed log (:class:`HotplugResult`), which the elastic
 fleet sweep reads for its timeline and :meth:`HotplugController.audit`
 cross-checks against the tracer counters and the cores' online bits.
-The module-level :func:`offline_core`/:func:`online_core` functions are
-thin wrappers kept for one release; new code should go through the
-planner's controller (``planner.hotplug``).
 """
 
 from __future__ import annotations
@@ -38,8 +35,6 @@ __all__ = [
     "HotplugError",
     "HotplugResult",
     "HotplugController",
-    "offline_core",
-    "online_core",
 ]
 
 
@@ -210,30 +205,3 @@ class HotplugController:
                     f"core is {'online' if actual else 'offline'}"
                 )
         return problems
-
-
-# ---------------------------------------------------------------------------
-# thin wrappers (deprecated shape; kept for one release)
-
-
-def offline_core(
-    kernel: HostKernel,
-    index: int,
-    fallback_core: int,
-    costs: CostModel = DEFAULT_COSTS,
-):
-    """Deprecated wrapper: one-shot :meth:`HotplugController.offline`.
-
-    The transition log of the throwaway controller is discarded; use
-    ``planner.hotplug.offline(...)`` to keep the machine's history.
-    """
-    return HotplugController(kernel, costs).offline(index, fallback_core)
-
-
-def online_core(
-    kernel: HostKernel,
-    index: int,
-    costs: CostModel = DEFAULT_COSTS,
-):
-    """Deprecated wrapper: one-shot :meth:`HotplugController.online`."""
-    return HotplugController(kernel, costs).online(index)

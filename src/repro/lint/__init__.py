@@ -25,14 +25,12 @@ Runtime pass:
   Sanitizer failures exit with code 3 (vs 1 for static findings).
 
 Support: inline pragmas and the expiring grandfather baseline
-(:mod:`repro.lint.suppress`), SARIF 2.1.0 output
-(:mod:`repro.lint.sarif`), and the content-hash incremental cache
-(:mod:`repro.lint.cache`) that makes warm re-runs near-instant.
+(:mod:`repro.lint.suppress`) and SARIF 2.1.0 output
+(:mod:`repro.lint.sarif`).
 
 Run everything with ``python -m repro.lint src benchmarks``.
 """
 
-from .cache import LintCache, cache_salt
 from .contract import LintContract, load_contract
 from .domains import DomainContract
 from .findings import Finding, RULES, Rule, fingerprint
@@ -60,8 +58,6 @@ __all__ = [
     "render_json",
     "render_sarif",
     "validate_sarif",
-    "LintCache",
-    "cache_salt",
     "Baseline",
     "BaselineEntry",
     "apply_baseline",

@@ -1,30 +1,18 @@
-"""Per-file analysis pipeline shared by the serial and parallel paths.
+"""Per-file analysis pipeline.
 
 :func:`analyze_file` is the whole unit of work for one source file:
-parse, run the selected per-file passes, extract the JSON facts the
-tree-level passes need, and stamp the content hash the incremental
-cache keys on.  :func:`analyze_files` orchestrates a set of files —
-consulting the cache first, then analysing the misses either inline
-or fanned out over a spawn-context :class:`ProcessPoolExecutor`
-(the same shape as :func:`repro.experiments.runner.run_cells`:
-workers mirror the parent's ``sys.path``, results are collected in
-submission order so output never depends on completion order).
-
-The pool pays off because a cold full-tree run is dominated by
-``ast.parse`` + AST walks, which release no work to other files —
-embarrassingly parallel.  ``jobs=1`` stays a plain loop with no
-pickling, so the default path is byte-identical to the serial
-behaviour.
+parse, run the selected per-file passes, and extract the JSON facts the
+tree-level passes need.  :func:`analyze_files` runs it over a set of
+files in file order, so report order never depends on anything but the
+file list.
 """
 
 from __future__ import annotations
 
-import sys
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence
 
-from .cache import LintCache, content_hash
 from .contract import LintContract
 from .determinism import check_determinism
 from .findings import Finding, SourceFile, load_source
@@ -53,10 +41,9 @@ STATIC_PASSES: Dict[
 
 @dataclass
 class FileResult:
-    """Everything one file contributes to a lint run (picklable)."""
+    """Everything one file contributes to a lint run."""
 
     path: str
-    digest: str
     findings: List[Finding]
     #: :func:`repro.lint.secflow.extract_facts` output; None when the
     #: file failed to parse
@@ -67,14 +54,11 @@ def analyze_file(
     path: Path, contract: LintContract, passes: Sequence[str]
 ) -> FileResult:
     """Parse + lint one file; a syntax error is a PARSE finding, not a crash."""
-    data = path.read_bytes()
-    digest = content_hash(data)
     try:
         source = load_source(path)
     except SyntaxError as exc:
         return FileResult(
             path=str(path),
-            digest=digest,
             findings=[
                 Finding(
                     str(path),
@@ -91,83 +75,13 @@ def analyze_file(
     findings.extend(pragma_findings(source))
     return FileResult(
         path=str(path),
-        digest=digest,
         findings=findings,
         facts=extract_facts(source),
     )
 
 
-# ---------------------------------------------------------------- pool
-
-_POOL_CONTRACT: Optional[LintContract] = None
-_POOL_PASSES: Tuple[str, ...] = ()
-
-
-def _worker_init(
-    parent_path: List[str], contract: LintContract, passes: Tuple[str, ...]
-) -> None:
-    """Mirror the parent's ``sys.path`` (spawn children start bare) and
-    park the contract once per worker instead of pickling it per file."""
-    global _POOL_CONTRACT, _POOL_PASSES
-    for entry in parent_path:
-        if entry not in sys.path:
-            sys.path.append(entry)
-    _POOL_CONTRACT = contract
-    _POOL_PASSES = passes
-
-
-def _analyze_in_worker(path_str: str) -> FileResult:
-    assert _POOL_CONTRACT is not None
-    return analyze_file(Path(path_str), _POOL_CONTRACT, _POOL_PASSES)
-
-
 def analyze_files(
-    files: Sequence[Path],
-    contract: LintContract,
-    passes: Sequence[str],
-    jobs: int = 1,
-    cache: Optional[LintCache] = None,
+    files: Sequence[Path], contract: LintContract, passes: Sequence[str]
 ) -> List[FileResult]:
-    """Analyse ``files`` (cache-aware, optionally parallel), in file order."""
-    passes = tuple(passes)
-    results: Dict[Path, FileResult] = {}
-    misses: List[Path] = []
-    for path in files:
-        if cache is None:
-            misses.append(path)
-            continue
-        digest = content_hash(path.read_bytes())
-        cached = cache.get(path, digest)
-        if cached is None:
-            misses.append(path)
-        else:
-            findings, facts = cached
-            results[path] = FileResult(
-                path=str(path), digest=digest, findings=findings, facts=facts
-            )
-
-    if jobs <= 1 or len(misses) <= 1:
-        fresh = [analyze_file(path, contract, passes) for path in misses]
-    else:
-        import multiprocessing
-        from concurrent.futures import ProcessPoolExecutor
-
-        ctx = multiprocessing.get_context("spawn")
-        with ProcessPoolExecutor(
-            max_workers=min(jobs, len(misses)),
-            mp_context=ctx,
-            initializer=_worker_init,
-            initargs=(list(sys.path), contract, passes),
-        ) as pool:
-            futures = [
-                pool.submit(_analyze_in_worker, str(path)) for path in misses
-            ]
-            # submission order == file order: report order stays stable
-            # no matter which worker finishes first
-            fresh = [future.result() for future in futures]
-
-    for path, result in zip(misses, fresh):
-        results[path] = result
-        if cache is not None:
-            cache.put(path, result.digest, result.findings, result.facts)
-    return [results[path] for path in files]
+    """Analyse ``files``, in file order."""
+    return [analyze_file(path, contract, passes) for path in files]

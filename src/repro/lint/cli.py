@@ -23,12 +23,9 @@ Exit codes (CI keys off these; keep them stable):
 (slower: it executes a small experiment several times, including in
 subprocesses with different ``PYTHONHASHSEED`` values).
 
-``--format sarif`` emits SARIF 2.1.0 for code-scanning upload;
-``--jobs N`` fans per-file analysis over a spawn process pool; the
-content-hash cache (``.repro-lint-cache.json`` next to
-``pyproject.toml``; disable with ``--no-cache``) makes warm re-runs
-near-instant.  Grandfathered findings live in ``lint-baseline.toml``
-(see :mod:`repro.lint.suppress`); ``--explain-baseline`` prints the
+``--format sarif`` emits SARIF 2.1.0 for code-scanning upload.
+Grandfathered findings live in ``lint-baseline.toml`` (see
+:mod:`repro.lint.suppress`); ``--explain-baseline`` prints the
 fingerprint of every current finding so entries can be authored.
 """
 
@@ -40,8 +37,7 @@ from pathlib import Path
 from typing import Iterable, List, Optional, Sequence
 
 from .analyze import STATIC_PASSES, analyze_files
-from .cache import DEFAULT_CACHE_NAME, LintCache, cache_salt
-from .contract import LintContract, find_pyproject, load_contract
+from .contract import LintContract, load_contract
 from .findings import Finding, RULES, fingerprint
 from .reporter import render_json, render_text
 from .sarif import render_sarif
@@ -82,8 +78,6 @@ def lint_paths(
     contract: Optional[LintContract] = None,
     passes: Optional[Sequence[str]] = None,
     rules: Optional[Sequence[str]] = None,
-    jobs: int = 1,
-    cache: Optional[LintCache] = None,
 ) -> List[Finding]:
     """Run the selected static passes over ``paths``; returns findings.
 
@@ -97,9 +91,7 @@ def lint_paths(
         contract = load_contract(Path(paths[0]) if paths else None)
     selected = list(passes) if passes else list(STATIC_PASSES)
     files = collect_files([Path(p) for p in paths])
-    results = analyze_files(
-        files, contract, selected, jobs=jobs, cache=cache
-    )
+    results = analyze_files(files, contract, selected)
     findings: List[Finding] = []
     for result in results:
         findings.extend(result.findings)
@@ -197,23 +189,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         help="print the rule registry (text/json/markdown) and exit",
     )
     parser.add_argument(
-        "--jobs",
-        type=int,
-        default=1,
-        help="analyse files in N spawn-pool processes (default 1: inline)",
-    )
-    parser.add_argument(
-        "--no-cache",
-        action="store_true",
-        help="disable the content-hash incremental cache",
-    )
-    parser.add_argument(
-        "--cache-file",
-        default=None,
-        help=f"cache location (default: {DEFAULT_CACHE_NAME} next to "
-        "pyproject.toml)",
-    )
-    parser.add_argument(
         "--baseline",
         default=None,
         help="baseline file (default: lint-baseline.toml found upward "
@@ -251,9 +226,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             file=sys.stderr,
         )
         return EXIT_USAGE
-    if args.jobs < 1:
-        print("repro.lint: --jobs must be >= 1", file=sys.stderr)
-        return EXIT_USAGE
 
     paths = [Path(p) for p in (args.paths or ["src", "benchmarks"])]
     missing = [p for p in paths if not p.exists()]
@@ -274,32 +246,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             )
             return EXIT_USAGE
     rules = args.rules.split(",") if args.rules else None
-    contract = load_contract(paths[0])
-
-    cache: Optional[LintCache] = None
-    if not args.no_cache:
-        if args.cache_file:
-            cache_path: Optional[Path] = Path(args.cache_file)
-        else:
-            pyproject = find_pyproject(paths[0])
-            cache_path = (
-                pyproject.parent / DEFAULT_CACHE_NAME if pyproject else None
-            )
-        if cache_path is not None:
-            salt = cache_salt(contract, passes or list(STATIC_PASSES))
-            cache = LintCache(cache_path, salt)
-
     findings = lint_paths(
         paths,
-        contract=contract,
+        contract=load_contract(paths[0]),
         passes=passes,
         rules=rules,
-        jobs=args.jobs,
-        cache=cache,
     )
-    if cache is not None:
-        cache.save()
-        print(f"repro.lint: {cache.stats()}", file=sys.stderr)
 
     if args.explain_baseline:
         for finding in sorted(findings):

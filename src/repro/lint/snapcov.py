@@ -14,10 +14,6 @@ quietly stops covering it.  This pass makes that a lint failure:
 * **SNAP002** — a registry verdict names an attribute the class no
   longer assigns, or a registered class that no longer exists in its
   module.  Stale entries mask the next real drift, so they must go.
-
-The registry digest salts the lint cache
-(:func:`repro.lint.cache.cache_salt`), so editing coverage re-lints
-every file on the next run.
 """
 
 from __future__ import annotations

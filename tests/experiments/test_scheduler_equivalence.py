@@ -20,7 +20,6 @@ from repro.experiments.chaos import (
 )
 from repro.experiments.config import SystemConfig
 from repro.experiments.runner import canonical_digest
-from repro.fleet import boot_scenario
 from repro.fleet.spec import ScenarioSpec, redis_tenant, uniform_rack
 from repro.lint.sanitizer import diff_digests, run_probe
 from repro.sim.clock import ms
@@ -77,7 +76,7 @@ def _serving_digest(scheduler: str):
         seed=5,
         placement="spread",
     )
-    fleet = boot_scenario(spec)
+    fleet = spec.boot()
     result = fleet.run()
     spans = [
         f"{srv.index}|{s.core}|{s.domain}|{s.start}|{s.end}"

@@ -1,7 +1,5 @@
 """Elastic fleet lifecycle: verbs, churn, conservation, determinism."""
 
-import warnings
-
 import pytest
 
 from repro.experiments.config import SystemConfig
@@ -15,6 +13,7 @@ from repro.fleet.elastic import (
     elastic_cells,
     run_elastic,
 )
+from repro.fleet.placement import FleetAdmissionError
 from repro.fleet.spec import (
     ScenarioSpec,
     redis_tenant,
@@ -52,16 +51,17 @@ class TestStaticBoot:
         assert [e.tenant for e in admits] == ["a", "b"]
         assert all(e.detail == "boot" for e in admits)
         assert controller.counts["admit"] == 2
-        assert controller.fleet.controller is controller
 
-    def test_scenario_boot_carries_its_controller(self):
-        spec = rack([redis_tenant("a", 2, 2000.0)])
-        fleet = spec.boot()
-        assert isinstance(fleet.controller, FleetController)
+    def test_scenario_boot_is_the_controllers_static_boot(self):
+        spec = rack([redis_tenant("a", 2, 2000.0), redis_tenant("b", 2, 2000.0)])
+        booted = spec.boot()
+        controlled = FleetController(spec).fleet
+        assert booted.placement == controlled.placement
+        assert [s.system.state_digest() for s in booted.servers] == [
+            s.system.state_digest() for s in controlled.servers
+        ]
 
     def test_strict_construction_refuses_oversized(self):
-        from repro.fleet.placement import FleetAdmissionError
-
         spec = rack([redis_tenant("big", 12, 2000.0)], n_servers=1)
         with pytest.raises(FleetAdmissionError, match="big"):
             FleetController(spec)
@@ -257,6 +257,34 @@ class TestRunElastic:
         assert outcome.audit_problems == []
         assert outcome.conservation_ok
 
+    def test_rebalancer_sizes_a_shrunk_tenant_at_its_spec_vcpus(self):
+        # the autoscaler shrinks the idle 8-vCPU tenant "a" while the
+        # rack stays imbalanced; migrate rebuilds at the spec's 8 vCPUs,
+        # which the 8-core server's free cores never fit, so the
+        # rebalancer must pass "a" over instead of crashing on it
+        spec = ScenarioSpec(
+            servers=(
+                SystemConfig(mode="gapped", n_cores=16),
+                SystemConfig(mode="gapped", n_cores=8),
+            ),
+            tenants=(
+                redis_tenant("a", 8, 300.0),
+                redis_tenant("b", 5, 20000.0),
+                redis_tenant("c", 3, 20000.0),
+            ),
+            duration_ns=ms(80),
+            placement="pack",
+        )
+        outcome = run_elastic(
+            spec,
+            autoscale=AutoscalePolicy(rps_per_vcpu=1000.0),
+            rebalance=RebalancePolicy(imbalance_threshold=4),
+            epoch_ns=ms(10),
+        )
+        assert outcome.counts["resize_down"] >= 1
+        assert outcome.audit_problems == []
+        assert outcome.conservation_ok
+
 
 class TestAdmissionEnum:
     def test_default_is_strict(self):
@@ -270,25 +298,13 @@ class TestAdmissionEnum:
         with pytest.raises(ValueError, match="unknown admission mode"):
             resolve_admission("lenient")
 
-    def test_deprecated_strict_keyword_warns_and_maps(self):
-        with pytest.warns(DeprecationWarning, match="admission="):
-            assert resolve_admission(None, strict=True) == "strict"
-        with pytest.warns(DeprecationWarning):
-            assert resolve_admission(None, strict=False) == "best_effort"
-
-    def test_both_spellings_rejected(self):
-        with pytest.raises(TypeError, match="not both"):
-            resolve_admission("strict", strict=True)
-
     def test_boot_accepts_admission_keyword(self):
         spec = rack([redis_tenant("ok", 2, 2000.0), redis_tenant("big", 12, 1.0)])
         fleet = spec.boot(admission="best_effort")
         names = [vm.spec.name for server in fleet.servers for vm in server.vms]
         assert names == ["ok"]
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")  # the enum path must not warn
-            with pytest.raises(Exception):
-                spec.boot(admission="strict")
+        with pytest.raises(FleetAdmissionError, match="big"):
+            spec.boot(admission="strict")
 
 
 class TestSweepDeterminism:

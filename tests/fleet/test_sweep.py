@@ -48,6 +48,23 @@ class TestCells:
             )
 
 
+class TestServerCellsEqualSerial:
+    def test_tenant_rows_bit_identical(self):
+        # servers are independent simulations: one cell per server,
+        # concatenated in server order, reproduces the in-process run
+        kwargs = dict(n_servers=2, rate_rps=8000.0, duration_ns=ms(20))
+        for level, mode in ((1, "gapped"), (2, "shared")):
+            cells = [
+                row
+                for index in range(kwargs["n_servers"])
+                for row in _run_server_cell(
+                    level, mode, index, seed=0, costs=DEFAULT_COSTS, **kwargs
+                )
+            ]
+            serial = consolidation_scenario(level, mode, **kwargs).boot().run()
+            assert canonical_digest(cells) == canonical_digest(serial.tenants)
+
+
 class TestJobsDeterminism:
     def test_parallel_equals_serial_byte_for_byte(self):
         serial = run_fleet(jobs=1, **TINY)

@@ -5,7 +5,7 @@ import pytest
 from repro.experiments import System, SystemConfig
 from repro.guest.actions import Compute
 from repro.guest.vm import GuestVm
-from repro.host.hotplug import HotplugError, offline_core, online_core
+from repro.host.hotplug import HotplugController, HotplugError
 from repro.host.threads import HostThread, SchedClass
 from repro.hw.gic import SPI_BASE
 from repro.isa import World
@@ -26,26 +26,26 @@ def system():
     return System(SystemConfig(mode="gapped", n_cores=4, housekeeping=None))
 
 
+@pytest.fixture
+def hotplug(system):
+    """A controller of its own: its log stays off the planner's."""
+    return HotplugController(system.kernel)
+
+
 class TestHotplug:
-    def test_offline_marks_core_unusable(self, system):
-        run_thread_body(
-            system, offline_core(system.kernel, 2, fallback_core=0)
-        )
+    def test_offline_marks_core_unusable(self, system, hotplug):
+        run_thread_body(system, hotplug.offline(2, fallback_core=0))
         assert not system.machine.core(2).online
         assert system.tracer.counters["hotplug_offline"] == 1
 
-    def test_offline_retargets_device_irqs(self, system):
+    def test_offline_retargets_device_irqs(self, system, hotplug):
         system.machine.gic.route_spi(SPI_BASE + 5, 2)
-        run_thread_body(
-            system, offline_core(system.kernel, 2, fallback_core=0)
-        )
+        run_thread_body(system, hotplug.offline(2, fallback_core=0))
         assert system.machine.gic.spi_route(SPI_BASE + 5) == 0
 
-    def test_online_restores_core(self, system):
-        run_thread_body(
-            system, offline_core(system.kernel, 2, fallback_core=0)
-        )
-        run_thread_body(system, online_core(system.kernel, 2))
+    def test_online_restores_core(self, system, hotplug):
+        run_thread_body(system, hotplug.offline(2, fallback_core=0))
+        run_thread_body(system, hotplug.online(2))
         assert system.machine.core(2).online
         # the host scheduler uses it again
         done = []
@@ -59,52 +59,42 @@ class TestHotplug:
         system.run_for(ms(1))
         assert done
 
-    def test_double_offline_rejected(self, system):
-        run_thread_body(
-            system, offline_core(system.kernel, 2, fallback_core=0)
-        )
+    def test_double_offline_rejected(self, system, hotplug):
+        run_thread_body(system, hotplug.offline(2, fallback_core=0))
         with pytest.raises(HotplugError, match="already offline"):
-            run_thread_body(
-                system, offline_core(system.kernel, 2, fallback_core=0)
-            )
+            run_thread_body(system, hotplug.offline(2, fallback_core=0))
         # the failed transition mutated nothing
         assert not system.machine.core(2).online
         assert system.tracer.counters["hotplug_offline"] == 1
 
-    def test_double_online_rejected(self, system):
+    def test_double_online_rejected(self, system, hotplug):
         with pytest.raises(HotplugError, match="already online"):
-            run_thread_body(system, online_core(system.kernel, 2))
+            run_thread_body(system, hotplug.online(2))
         assert system.machine.core(2).online
         assert "hotplug_online" not in system.tracer.counters
 
-    def test_offline_abort_leaves_core_untouched(self, system):
+    def test_offline_abort_leaves_core_untouched(self, system, hotplug):
         system.kernel.fault_hooks["hotplug"] = lambda direction, idx: True
         with pytest.raises(HotplugError, match="aborted"):
-            run_thread_body(
-                system, offline_core(system.kernel, 2, fallback_core=0)
-            )
+            run_thread_body(system, hotplug.offline(2, fallback_core=0))
         # abort fires before any mutation: the core is still fully online
         assert system.machine.core(2).online
         assert system.tracer.counters["hotplug_abort"] == 1
         assert "hotplug_offline" not in system.tracer.counters
 
-    def test_online_abort_leaves_core_offline(self, system):
-        run_thread_body(
-            system, offline_core(system.kernel, 2, fallback_core=0)
-        )
+    def test_online_abort_leaves_core_offline(self, system, hotplug):
+        run_thread_body(system, hotplug.offline(2, fallback_core=0))
         system.kernel.fault_hooks["hotplug"] = lambda direction, idx: True
         with pytest.raises(HotplugError, match="aborted"):
-            run_thread_body(system, online_core(system.kernel, 2))
+            run_thread_body(system, hotplug.online(2))
         assert not system.machine.core(2).online
         assert "hotplug_online" not in system.tracer.counters
 
-    def test_offline_online_symmetric_roundtrip(self, system):
+    def test_offline_online_symmetric_roundtrip(self, system, hotplug):
         for _ in range(2):
-            run_thread_body(
-                system, offline_core(system.kernel, 2, fallback_core=0)
-            )
+            run_thread_body(system, hotplug.offline(2, fallback_core=0))
             assert not system.machine.core(2).online
-            run_thread_body(system, online_core(system.kernel, 2))
+            run_thread_body(system, hotplug.online(2))
             assert system.machine.core(2).online
         assert system.tracer.counters["hotplug_offline"] == 2
         assert system.tracer.counters["hotplug_online"] == 2
@@ -156,13 +146,12 @@ class TestHotplugController:
         problems = hotplug.audit()
         assert any("core 2" in p for p in problems)
 
-    def test_wrappers_route_through_a_throwaway_controller(self, system):
-        # the deprecated one-shot shape still transitions correctly but
-        # keeps no history on the planner's controller
-        run_thread_body(
-            system, offline_core(system.kernel, 2, fallback_core=0)
-        )
+    def test_a_second_controller_keeps_its_own_log(self, system, hotplug):
+        # a controller of its own still transitions the core, but its
+        # history stays off the planner's controller
+        run_thread_body(system, hotplug.offline(2, fallback_core=0))
         assert not system.machine.core(2).online
+        assert [r.core for r in hotplug.log] == [2]
         assert system.planner.hotplug.log == []
 
 
@@ -260,14 +249,14 @@ class TestPlanner:
         assert sorted(system.planner.free_cores()) == [1, 2, 3]
         assert "t" not in system.planner.allocations
 
-    def test_rmi_sync_timeout_surfaces_host_side(self, system):
+    def test_rmi_sync_timeout_surfaces_host_side(self, system, hotplug):
         from repro.rpc.ports import RpcTimeoutError
         from repro.rmm.rmi import RmiCommand
 
         system.planner.sync_timeout_ns = ms(1)
 
         def body():
-            yield from offline_core(system.kernel, 2, fallback_core=0)
+            yield from hotplug.offline(2, fallback_core=0)
             dead = system.engine.dedicate(2)
             dead.failed = True  # answers nothing, like a hung core
             yield from system.planner.rmi(

@@ -95,33 +95,12 @@ class TestSanitizerExitCode:
         assert main(["--sanitize", str(path)]) == 0
 
 
-class TestCacheFlags:
-    def test_cache_file_round_trip(self, tmp_path, capsys):
-        path = write(tmp_path, "ok.py", "x = 1\n")
-        cache_file = tmp_path / "cache.json"
-        assert main([str(path), "--cache-file", str(cache_file)]) == 0
-        assert cache_file.exists()
-        capsys.readouterr()
-        assert main([str(path), "--cache-file", str(cache_file)]) == 0
-        err = capsys.readouterr().err
-        assert "cache 1/1 hits (100%)" in err
-
-    def test_no_cache_suppresses_stats(self, tmp_path, capsys):
-        path = write(tmp_path, "ok.py", "x = 1\n")
-        assert main([str(path), "--no-cache"]) == 0
-        assert "cache" not in capsys.readouterr().err
-
-    def test_bad_jobs_exits_two(self, tmp_path):
-        path = write(tmp_path, "ok.py", "x = 1\n")
-        assert main([str(path), "--jobs", "0"]) == 2
-
-
 class TestExplainBaseline:
     def test_prints_fingerprints(self, tmp_path, capsys):
         from repro.lint.findings import fingerprint
 
         path = write(tmp_path, "bad.py", "import time\nt = time.time()\n")
-        assert main([str(path), "--no-cache", "--explain-baseline"]) == 0
+        assert main([str(path), "--explain-baseline"]) == 0
         out = capsys.readouterr().out
         assert "DET001" in out
         # first token of each line is the 16-hex fingerprint

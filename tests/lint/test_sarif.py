@@ -110,9 +110,7 @@ class TestCliIntegration:
         bad = tmp_path / "planted.py"
         bad.write_text("import time\nSTART = time.time()\n")
         monkeypatch.chdir(tmp_path)
-        code = main(
-            [str(bad), "--format", "sarif", "--no-cache", "--no-baseline"]
-        )
+        code = main([str(bad), "--format", "sarif", "--no-baseline"])
         doc = json.loads(capsys.readouterr().out)
         assert code == 1
         assert validate_sarif(doc) == []

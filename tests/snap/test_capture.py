@@ -23,7 +23,6 @@ from repro.snap import (
     capture_digest,
     capture_system,
     diff_captures,
-    registry_digest,
     snapshot,
 )
 
@@ -154,10 +153,6 @@ class TestSnapshotFormat:
 
 
 class TestRegistry:
-    def test_registry_digest_stable_and_sensitive(self):
-        assert registry_digest() == registry_digest()
-        assert len(registry_digest()) == 16
-
     def test_core_classes_registered(self):
         for key in (
             "repro.sim.engine:Simulator",
