@@ -17,7 +17,7 @@ line remembers the security domain that filled it.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Set
 
 from ..isa.worlds import SecurityDomain
 
@@ -35,6 +35,11 @@ class CacheGeometry:
     shared: bool = False  # True for LLC (off-core, out of threat-model scope)
 
     def __post_init__(self) -> None:
+        if min(self.size_bytes, self.line_bytes, self.ways) <= 0:
+            raise ValueError(
+                f"{self.name}: size {self.size_bytes}, line {self.line_bytes} "
+                f"and ways {self.ways} must all be positive"
+            )
         if self.size_bytes % (self.line_bytes * self.ways):
             raise ValueError(
                 f"{self.name}: size {self.size_bytes} not divisible by "
@@ -71,13 +76,21 @@ class AccessResult:
 
 
 class SetAssociativeCache:
-    """An LRU set-associative cache whose lines carry domain tags."""
+    """An LRU set-associative cache whose lines carry domain tags.
+
+    ``_sets`` holds one slot per set.  A set that has never been filled
+    since construction or the last :meth:`flush` is the shared empty
+    tuple ``()``; the first miss in it swaps in a list of its own.  A
+    machine's caches have hundreds of thousands of sets and a run
+    touches few of them, so untouched state costs one slot per set,
+    not one list.  The walks over every set skip empty ones with
+    ``filter(None, ...)``.  A snapshot renders ``()`` and ``[]`` alike,
+    so the sentinel never shows in a digest.
+    """
 
     def __init__(self, geometry: CacheGeometry):
         self.geometry = geometry
-        self._sets: List[List[CacheLine]] = [
-            [] for _ in range(geometry.n_sets)
-        ]
+        self._sets: List[Sequence[CacheLine]] = [()] * geometry.n_sets
         self._tick = 0
         self.hits = 0
         self.misses = 0
@@ -97,6 +110,8 @@ class SetAssociativeCache:
                 self.hits += 1
                 return AccessResult(hit=True, set_index=set_index)
         self.misses += 1
+        if not lines:
+            lines = self._sets[set_index] = []
         evicted = None
         if len(lines) >= self.geometry.ways:
             victim = min(lines, key=lambda l: l.last_touch)
@@ -113,14 +128,14 @@ class SetAssociativeCache:
 
     def flush(self) -> int:
         """Invalidate everything; returns the number of lines dropped."""
-        dropped = sum(len(s) for s in self._sets)
-        self._sets = [[] for _ in range(self.geometry.n_sets)]
+        dropped = self.filled_lines
+        self._sets = [()] * self.geometry.n_sets
         return dropped
 
     def flush_domain(self, domain: SecurityDomain) -> int:
         """Invalidate only one domain's lines (selective flush)."""
         dropped = 0
-        for lines in self._sets:
+        for lines in filter(None, self._sets):
             keep = [l for l in lines if l.domain != domain]
             dropped += len(lines) - len(keep)
             lines[:] = keep
@@ -129,21 +144,23 @@ class SetAssociativeCache:
     # -- inspection (used by the auditor and attacks) ----------------------
 
     def domains_present(self) -> Set[SecurityDomain]:
-        return {line.domain for lines in self._sets for line in lines}
+        return {
+            line.domain for lines in filter(None, self._sets) for line in lines
+        }
 
     def set_occupancy(self, set_index: int) -> List[CacheLine]:
         return list(self._sets[set_index])
 
     def occupancy_by_domain(self) -> Dict[SecurityDomain, int]:
         counts: Dict[SecurityDomain, int] = {}
-        for lines in self._sets:
+        for lines in filter(None, self._sets):
             for line in lines:
                 counts[line.domain] = counts.get(line.domain, 0) + 1
         return counts
 
     @property
     def filled_lines(self) -> int:
-        return sum(len(s) for s in self._sets)
+        return sum(map(len, filter(None, self._sets)))
 
     def __repr__(self) -> str:
         g = self.geometry

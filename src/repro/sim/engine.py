@@ -654,6 +654,11 @@ class Simulator:
                 timer.cancel()
             for event, callback in subscriptions:
                 event.remove_waiter(callback)
+            # every entry holds a partial of this closure, which holds
+            # both lists: emptying them breaks the cycle, so reference
+            # counting frees the race once it resumes
+            timers.clear()
+            subscriptions.clear()
             # resume via the event loop rather than synchronously: a
             # process looping on already-fired sources must not recurse
             self._schedule_resume(proc, Wakeup(index, source, value))

@@ -5,7 +5,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.hw import CacheGeometry, SetAssociativeCache
+from repro.hw.cache import AccessResult, CacheLine
 from repro.isa import HOST_DOMAIN, realm_domain
+from repro.snap.capture import canon
 
 REALM = realm_domain(1)
 
@@ -29,9 +31,14 @@ class TestGeometry:
         geo = CacheGeometry("g", 64 * 1024, 64, 8)
         assert geo.tag(0) != geo.tag(128 * 64)
 
-    def test_bad_geometry_rejected(self):
+    @pytest.mark.parametrize(
+        "size, line, ways",
+        [(1000, 64, 8), (0, 64, 8), (-512, 64, 8), (512, 0, 8), (512, 64, 0)],
+        ids=["indivisible", "zero-size", "negative-size", "zero-line", "zero-ways"],
+    )
+    def test_bad_geometry_rejected(self, size, line, ways):
         with pytest.raises(ValueError):
-            CacheGeometry("bad", 1000, 64, 8)
+            CacheGeometry("bad", size, line, ways)
 
 
 class TestAccess:
@@ -137,3 +144,98 @@ class TestProperties:
         for addr in addrs:
             cache.access(addr, HOST_DOMAIN)
             assert cache.probe(addr)
+
+
+class DenseReferenceCache:
+    """Reference model: one list per set from construction on, and
+    every walk visits every set."""
+
+    def __init__(self, geometry):
+        self.geometry = geometry
+        self._sets = [[] for _ in range(geometry.n_sets)]
+        self._tick = 0
+
+    def access(self, addr, domain):
+        self._tick += 1
+        set_index = self.geometry.set_index(addr)
+        tag = self.geometry.tag(addr)
+        lines = self._sets[set_index]
+        for line in lines:
+            if line.tag == tag:
+                line.last_touch = self._tick
+                line.domain = domain
+                return AccessResult(hit=True, set_index=set_index)
+        evicted = None
+        if len(lines) >= self.geometry.ways:
+            victim = min(lines, key=lambda l: l.last_touch)
+            lines.remove(victim)
+            evicted = victim
+        lines.append(CacheLine(tag=tag, domain=domain, last_touch=self._tick))
+        return AccessResult(hit=False, set_index=set_index, evicted=evicted)
+
+    def probe(self, addr):
+        set_index = self.geometry.set_index(addr)
+        tag = self.geometry.tag(addr)
+        return any(line.tag == tag for line in self._sets[set_index])
+
+    def flush(self):
+        dropped = sum(len(s) for s in self._sets)
+        self._sets = [[] for _ in range(self.geometry.n_sets)]
+        return dropped
+
+    def flush_domain(self, domain):
+        dropped = 0
+        for lines in self._sets:
+            keep = [l for l in lines if l.domain != domain]
+            dropped += len(lines) - len(keep)
+            lines[:] = keep
+        return dropped
+
+    def domains_present(self):
+        return {line.domain for lines in self._sets for line in lines}
+
+    def set_occupancy(self, set_index):
+        return list(self._sets[set_index])
+
+    def occupancy_by_domain(self):
+        counts = {}
+        for lines in self._sets:
+            for line in lines:
+                counts[line.domain] = counts.get(line.domain, 0) + 1
+        return counts
+
+    @property
+    def filled_lines(self):
+        return sum(len(s) for s in self._sets)
+
+
+_DOMAINS = st.sampled_from([HOST_DOMAIN, REALM, realm_domain(2)])
+#: four times the small cache's span, so tags alias in every set
+_ADDRS = st.integers(min_value=0, max_value=4 * 64 * 2 * 4 - 1)
+_OPS = st.lists(
+    st.one_of(
+        st.tuples(st.just("access"), _ADDRS, _DOMAINS),
+        st.tuples(st.just("probe"), _ADDRS),
+        st.tuples(st.just("flush")),
+        st.tuples(st.just("flush_domain"), _DOMAINS),
+    ),
+    max_size=120,
+)
+
+
+class TestSparseMatchesDense:
+    @given(_OPS)
+    @settings(max_examples=200, deadline=None)
+    def test_every_step_matches_the_dense_reference(self, ops):
+        cache = small_cache(ways=2, sets=4)
+        reference = DenseReferenceCache(cache.geometry)
+        for name, *args in ops:
+            assert getattr(cache, name)(*args) == getattr(reference, name)(*args)
+            assert cache.domains_present() == reference.domains_present()
+            assert cache.occupancy_by_domain() == reference.occupancy_by_domain()
+            assert cache.filled_lines == reference.filled_lines
+            for set_index in range(cache.geometry.n_sets):
+                assert cache.set_occupancy(set_index) == (
+                    reference.set_occupancy(set_index)
+                )
+            assert canon(cache._sets) == canon(reference._sets)

@@ -2,9 +2,13 @@
 
 Covers the hot-path work on :mod:`repro.sim.engine`: the shared pop
 loop (``run``/``run_one`` both police monotonic time), the O(1)
-``pending_events`` counter, and heap compaction — cancelled ``AnyOf``
-losers must not accumulate without bound.
+``pending_events`` counter, heap compaction — cancelled ``AnyOf``
+losers must not accumulate without bound — and settled event races,
+which must leave no reference cycle for the collector.
 """
+
+import gc
+from functools import partial
 
 import pytest
 
@@ -111,3 +115,29 @@ def test_run_until_done_sees_through_cancelled_timers():
     timer.cancel()
     with pytest.raises(SimulationError, match="deadlock"):
         sim.run_until_done(proc)
+
+
+def test_settled_event_races_leave_no_reference_cycles():
+    # an event-racing AnyOf arms partials of its settle closure, which
+    # holds the lists of those partials; settling must break that cycle
+    # so reference counting frees each race as soon as it resumes
+    sim = Simulator()
+    n_races = 1000
+
+    def racer():
+        for i in range(n_races):
+            event = Event("doorbell")
+            event_wins = i % 2 == 1
+            if event_wins:
+                sim.schedule(1, partial(event.fire, i))
+            wakeup = yield AnyOf([event, Delay(2)])
+            assert wakeup.index == (0 if event_wins else 1)
+
+    gc.collect()
+    gc.disable()
+    try:
+        sim.spawn(racer())
+        sim.run()
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
