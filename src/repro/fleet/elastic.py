@@ -311,6 +311,9 @@ class FleetController:
             "migrate": 0,
         }
         self.audit_problems: List[str] = []
+        #: one schedule auditor per server: each verb folds in only the
+        #: spans closed since that server's previous audit
+        self._auditors = [CoreGapAuditor() for _ in servers]
         #: tenant -> current server index
         self.where: Dict[str, int] = {}
         #: tenant -> currently active vCPU count (autoscaler view)
@@ -422,14 +425,15 @@ class FleetController:
     def audit_transitions(self, server: BootedServer, what: str) -> None:
         """Core-gap audit after one transition; problems accumulate.
 
-        Runs the occupancy-window sharing audit over the spans closed
-        so far plus the residency audit over every core's uarch
+        Folds the spans closed since the server's last audit into its
+        occupancy-window sharing audit (each violation is reported
+        once), runs the residency audit over every core's uarch
         structures, and cross-checks the hotplug transition log.
         (``CoreGapAuditor.audit`` would close all open spans — a
         mid-run mutation — so the two halves are called directly.)
         """
         system = server.system
-        auditor = CoreGapAuditor()
+        auditor = self._auditors[server.index]
         problems = [
             f"server{server.index}/{what}: {violation}"
             for violation in auditor.audit_schedule(system.tracer)

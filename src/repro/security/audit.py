@@ -18,7 +18,8 @@ calls leaking; on core-gapped schedules it must return clean.
 
 from __future__ import annotations
 
-import bisect
+from bisect import bisect_right
+from collections import defaultdict
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Set, Tuple
 
@@ -32,7 +33,7 @@ from ..isa.worlds import (
     World,
     realm_domain,
 )
-from ..sim.trace import Tracer
+from ..sim.trace import ExecutionSpan, Tracer
 
 __all__ = [
     "SharingViolation",
@@ -145,37 +146,13 @@ def audit_conservation(
     return problems
 
 
-def _split_tenures(
-    spans: List[Tuple[int, int]], boundaries: Iterable[int]
-) -> List[Tuple[int, int]]:
-    """Partition one domain's (start, end) spans on a core into tenure
-    windows, cut at scrubbed unbind times.
-
-    A span belongs to the tenure that was live when it started; the
-    window of each tenure is [min start, max end] over its spans.  With
-    no boundaries this degenerates to the single occupancy window the
-    audit always used.
-    """
-    cuts = sorted(boundaries)
-    if not cuts:
-        first = min(start for start, _ in spans)
-        last = max(end for _, end in spans)
-        return [(first, last)]
-    groups: Dict[int, List[Tuple[int, int]]] = {}
-    for start, end in spans:
-        index = bisect.bisect_right(cuts, start)
-        groups.setdefault(index, []).append((start, end))
-    return [
-        (
-            min(start for start, _ in group),
-            max(end for _, end in group),
-        )
-        for _, group in sorted(groups.items())
-    ]
-
-
 class CoreGapAuditor:
-    """Checks schedules and residual state against the threat model."""
+    """Checks schedules and residual state against the threat model.
+
+    The schedule audit is a fold: an auditor remembers how far into a
+    tracer it has read, so auditing after every transition costs the
+    spans closed since the last audit; a fresh auditor folds it all.
+    """
 
     def __init__(self, domains: Optional[Iterable[SecurityDomain]] = None):
         #: registry for resolving span names back to domain objects
@@ -183,98 +160,117 @@ class CoreGapAuditor:
             d.name: d
             for d in (HOST_DOMAIN, MONITOR_DOMAIN, ROOT_DOMAIN, IDLE_DOMAIN)
         }
+        #: cached per span name: is it a guest; does a guest distrust it
+        self._guest: Dict[str, bool] = {}
+        self._foe: Dict[Tuple[str, str], bool] = {}
+        #: (core, *sorted pair) keys already reported, kept across refolds
+        self._reported: Set[Tuple[int, str, str]] = set()
+        self._restart(None)
         for domain in domains or ():
             self.register(domain)
 
     def register(self, domain: SecurityDomain) -> None:
         self._registry[domain.name] = domain
+        self._guest.clear()
+        self._foe.clear()
 
     def _resolve(self, name: str) -> SecurityDomain:
-        if name in self._registry:
-            return self._registry[name]
-        if name.startswith("realm:"):
-            domain = realm_domain(int(name.split(":", 1)[1]))
-        elif name.startswith("vm:"):
-            domain = SecurityDomain(name, World.NORMAL)
-        else:
-            domain = SecurityDomain(name, World.NORMAL)
-        self._registry[name] = domain
+        domain = self._registry.get(name)
+        if domain is None:
+            if name.startswith("realm:"):
+                domain = realm_domain(int(name.split(":", 1)[1]))
+            else:
+                domain = SecurityDomain(name, World.NORMAL)
+            self._registry[name] = domain
         return domain
+
+    def _restart(self, tracer: Optional[Tracer]) -> None:
+        """Forget the fold, not what it reported."""
+        self._tracer = tracer
+        self._folded = self._cuts_folded = 0
+        self._last: Optional[ExecutionSpan] = None
+        #: (core, guest) -> tenure-cut times, in recording order
+        self._cuts: Dict[Tuple[int, str], List[int]] = {}
+        #: core -> guest -> [tenure index, first start, {foe: first start}]
+        self._tenures: Dict[int, Dict[str, list]] = defaultdict(dict)
 
     # ------------------------------------------------------------------
     # schedule audit
     # ------------------------------------------------------------------
 
     def audit_schedule(self, tracer: Tracer) -> List[SharingViolation]:
-        """Occupancy-window distrust check over every core's history.
+        """Fold in the spans and tenure cuts recorded since this
+        auditor's last call on ``tracer``; return the violations
+        completed since then (each ``(core, pair)`` once per auditor).
 
         The paper's invariant (S3): from the *first to the last
         instruction* of a vCPU on its core, only guest-trusted code may
-        run there.  So two distrusting domains violate the invariant on
-        a core iff their occupancy windows [first span, last span]
-        overlap -- a host that ran only *before* dedication, or a realm
-        that reused a core after another realm was destroyed (and its
-        state scrubbed; see the residency audit), is legitimate.
+        run there.  So a guest and a domain it distrusts violate it on a
+        core iff a span of the other lies inside the guest's occupancy
+        window [first span, last span] -- a host that ran only *before*
+        dedication, or a realm that reused a core after another realm
+        was destroyed (and scrubbed; see the residency audit), is
+        legitimate.  A monitor-mediated unbind or rebind ends the
+        realm's *tenure* on its core: the monitor records the scrubbed
+        handoff, at the present, as a tenure cut
+        (:meth:`~repro.sim.trace.Tracer.tenure_cut`), and a span belongs
+        to the tenure of the cuts up to its start.
 
-        A monitor-mediated unbind or rebind (autoscaler shrink/park,
-        evacuation) *ends* the realm's tenure on its core: the core is
-        scrubbed and handed back, and a later re-dedication -- even to
-        the same realm -- opens a fresh occupancy window.  The monitor
-        records each such scrubbed ownership change as a tenure cut
-        (:meth:`~repro.sim.trace.Tracer.tenure_cut`), so host spans
-        between two tenures of one realm are not violations.
+        Spans on one core never overlap and close in time order, so a
+        foreign span lies inside a tenure window exactly when it falls
+        between two spans of that tenure: per core, each guest keeps its
+        tenure and the distrusting domains seen since its last span, and
+        its next span in the same tenure reports them.  If
+        ``insert_span`` (compute-span coalescing) put a span inside the
+        folded prefix, or ``tracer`` is another, the fold restarts.
         """
-        violations: List[SharingViolation] = []
-        spans_by_core: Dict[int, List] = {}
-        for span in tracer.spans:
-            spans_by_core.setdefault(span.core, []).append(span)
-        # tenure boundaries: (core, domain) -> scrubbed handoff times
-        unbinds: Dict[Tuple[int, str], List[int]] = {}
-        for cut in getattr(tracer, "tenure_cuts", []):
-            unbinds.setdefault((cut.core, cut.domain), []).append(cut.time)
-        seen_pairs = set()
-        for core in sorted(spans_by_core):
-            windows: Dict[str, List[Tuple[int, int]]] = {}
-            for span in spans_by_core[core]:
-                windows.setdefault(span.domain, []).append(
-                    (span.start, span.end)
-                )
-            for name, owned in windows.items():
-                owner = self._resolve(name)
-                if not (owner.is_realm or owner.name.startswith("vm:")):
-                    # the invariant is stated for guests: their occupancy
-                    # window must be exclusive.  The host's occupancy
-                    # legitimately has gaps (hotplug off -> realm
-                    # lifetime -> hotplug on), so it is not a window.
-                    continue
-                tenures = _split_tenures(
-                    owned, unbinds.get((core, name), ())
-                )
-                for span in spans_by_core[core]:
-                    if span.domain == name:
-                        continue
-                    other = self._resolve(span.domain)
-                    if not owner.distrusts(other):
-                        continue
-                    # a foreign span strictly inside one of the owner's
-                    # tenure windows is the leak
-                    for first, last in tenures:
-                        if span.start < last and span.end > first:
-                            key = (core, *sorted((name, span.domain)))
-                            if key in seen_pairs:
-                                break
-                            seen_pairs.add(key)
-                            violations.append(
-                                SharingViolation(
-                                    core,
-                                    name,
-                                    span.domain,
-                                    first,
-                                    span.start,
-                                )
-                            )
-                            break
-        return violations
+        spans = tracer.spans
+        folded = self._folded
+        if tracer is not self._tracer or (
+            folded and spans[folded - 1] is not self._last
+        ):
+            self._restart(tracer)
+            folded = 0
+        cuts, tenures = self._cuts, self._tenures
+        for cut in tracer.tenure_cuts[self._cuts_folded:]:
+            cuts.setdefault((cut.core, cut.domain), []).append(cut.time)
+        self._cuts_folded = len(tracer.tenure_cuts)
+        guests, foes, reported = self._guest, self._foe, self._reported
+        found: List[Tuple[int, str, str, int, int]] = []
+        for span in spans[folded:]:
+            core, name, start = span.core, span.domain, span.start
+            on_core = tenures[core]
+            for guest, tenure in on_core.items():
+                foe = foes.get((guest, name))
+                if foe is None:
+                    foe = foes[guest, name] = self._resolve(guest).distrusts(
+                        self._resolve(name)
+                    )
+                if foe:
+                    tenure[2].setdefault(name, start)
+            guest = guests.get(name)
+            if guest is None:
+                # the host's occupancy legitimately has gaps (hotplug
+                # off -> realm lifetime -> hotplug on): not a window
+                guest = self._resolve(name).is_realm or name.startswith("vm:")
+                guests[name] = guest
+            if not guest:
+                continue
+            index = bisect_right(cuts.get((core, name), ()), start)
+            tenure = on_core.get(name)
+            if tenure is None:
+                tenure = on_core[name] = [index, start, {}]
+            elif tenure[0] != index:
+                tenure[0], tenure[1] = index, start
+            else:
+                for other, since in tenure[2].items():
+                    key = (core, *sorted((name, other)))
+                    if key not in reported:
+                        reported.add(key)
+                        found.append((core, name, other, tenure[1], since))
+            tenure[2].clear()
+        self._folded, self._last = len(spans), spans[-1] if spans else None
+        return [SharingViolation(*violation) for violation in found]
 
     # ------------------------------------------------------------------
     # residual microarchitectural state audit

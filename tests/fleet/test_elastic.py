@@ -20,6 +20,7 @@ from repro.fleet.spec import (
     resolve_admission,
     uniform_rack,
 )
+from repro.security import CoreGapAuditor
 from repro.sim.clock import ms
 from repro.sim.engine import SimulationError
 
@@ -199,6 +200,41 @@ class TestLifecycleVerbs:
             controller.resize("a", 1)
         with pytest.raises(SimulationError, match="core-gapped"):
             controller.evict("a", drain_ns=0)
+
+
+class TestPerVerbAudit:
+    def test_a_planted_violation_is_reported_once(self):
+        """Every verb audits its server, but a violation is one problem,
+        not one per later audit."""
+        spec = rack([redis_tenant("a", 2, 2000.0), redis_tenant("b", 2, 2000.0)])
+        controller = FleetController(spec)
+        controller.start_serving(spec.duration_ns)
+        controller.advance_to(ms(3))
+        tracer = controller.fleet.servers[controller.where["a"]].system.tracer
+        on_core = [s for s in tracer.spans if s.core == 1]
+        realm = [i for i, s in enumerate(on_core) if s.domain == "realm:1"]
+        assert len(realm) >= 2, "realm:1 should have run on its core"
+        # a host span in an idle gap between two closed realm:1 spans
+        between = on_core[realm[0]:realm[-1] + 1]
+        start, end = next(
+            (before.end, after.start)
+            for before, after in zip(between, between[1:])
+            if after.start > before.end
+        )
+        tracer.insert_span(1, "host", start, end)
+        controller.resize("a", 1)
+        controller.resize("a", 2)
+        controller.advance_to(spec.duration_ns)
+        controller.finish()
+        problems = controller.outcome().audit_problems
+        assert len(problems) == 1, problems
+        assert problems[0].startswith("server0/resize:a: core 1: realm:1")
+        assert "host" in problems[0]
+        # the key a fresh auditor (the oracle-pinned batch fold) finds
+        fresh = CoreGapAuditor().audit_schedule(tracer)
+        assert [(v.core, *sorted((v.domain_a, v.domain_b))) for v in fresh] == [
+            (1, "host", "realm:1")
+        ]
 
 
 class TestChurnSchedule:

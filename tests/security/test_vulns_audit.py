@@ -1,7 +1,15 @@
 """Tests for the vulnerability catalog (fig. 3) and the auditor."""
 
-import pytest
+from collections import defaultdict
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.costs import DEFAULT_COSTS
+from repro.experiments.config import SystemConfig
+from repro.experiments.workbench import build_system, vcpus_for
+from repro.guest.vm import GuestVm
+from repro.guest.workloads import CoremarkStats, coremark_workload_factory
 from repro.hw import Machine, SocTopology
 from repro.isa import HOST_DOMAIN, MONITOR_DOMAIN, realm_domain
 from repro.security import (
@@ -14,6 +22,7 @@ from repro.security import (
     timeline,
     unmitigated,
 )
+from repro.sim.clock import us
 from repro.sim.trace import Tracer
 
 
@@ -206,3 +215,131 @@ class TestAuditor:
         report = CoreGapAuditor().audit(machine, tracer)
         assert report.clean
         assert "CLEAN" in report.summary()
+
+
+GUESTS = ("realm:1", "realm:2", "vm:a")
+DOMAINS = GUESTS + ("host", "monitor", "idle")
+
+
+def keys(violations):
+    return [(v.core, *sorted((v.domain_a, v.domain_b))) for v in violations]
+
+
+def oracle_keys(tracer):
+    """Brute force: split each guest's spans on a core into tenures by
+    the number of its cuts at or before the span's start, take each
+    tenure's window as [min start, max end], and test every span on
+    that core of a domain the guest distrusts against every window."""
+    found = set()
+    for core in {s.core for s in tracer.spans}:
+        on_core = [s for s in tracer.spans if s.core == core]
+        for guest in GUESTS:
+            cuts = [
+                c.time
+                for c in tracer.tenure_cuts
+                if (c.core, c.domain) == (core, guest)
+            ]
+            tenures = defaultdict(list)
+            for s in on_core:
+                if s.domain == guest:
+                    tenures[sum(t <= s.start for t in cuts)].append(s)
+            for tenure in tenures.values():
+                first = min(s.start for s in tenure)
+                last = max(s.end for s in tenure)
+                found.update(
+                    (core, *sorted((guest, s.domain)))
+                    for s in on_core
+                    if s.domain not in (guest, "monitor", "idle")
+                    and s.start < last
+                    and s.end > first
+                )
+    return found
+
+
+#: one core's history: (domain, idle gap before, duration, how long
+#: after its end the span is recorded; late ones go in by insert_span)
+core_history = st.lists(
+    st.tuples(
+        st.sampled_from(DOMAINS),
+        st.integers(0, 3),
+        st.integers(1, 4),
+        st.sampled_from((0, 0, 0, 3, 9)),
+    ),
+    max_size=12,
+)
+
+
+class TestIncrementalAudit:
+    @given(
+        st.lists(core_history, min_size=1, max_size=3),
+        st.lists(
+            st.tuples(
+                st.integers(0, 2), st.sampled_from(GUESTS), st.integers(0, 90)
+            ),
+            max_size=6,
+        ),
+        st.lists(st.integers(0, 100), max_size=8),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_fold_matches_brute_force_at_every_audit(
+        self, histories, cuts, audit_times
+    ):
+        events = []  # (when, order, action); spans, then cuts, then audits
+        for core, history in enumerate(histories):
+            t = 0
+            for domain, gap, duration, delay in history:
+                start, t = t + gap, t + gap + duration
+                span = ("span", core, domain, start, t, delay)
+                events.append((t + delay, 0, span))
+        events += [(at, 1, ("cut", core, domain)) for core, domain, at in cuts]
+        events += [(when, 2, ("audit",)) for when in audit_times]
+        events.append((200, 2, ("audit",)))
+        tracer = Tracer()
+        kept = CoreGapAuditor()
+        reported = []
+        for when, _, action in sorted(events, key=lambda e: e[:2]):
+            if action[0] == "span":
+                _, core, domain, start, end, delay = action
+                if delay:
+                    tracer.insert_span(core, domain, start, end)
+                else:
+                    tracer.begin_span(start, core, domain)
+                    tracer.end_span(end, core)
+            elif action[0] == "cut":
+                tracer.tenure_cut(when, action[1], action[2])
+            else:
+                reported += keys(kept.audit_schedule(tracer))
+                expected = oracle_keys(tracer)
+                assert len(reported) == len(set(reported))
+                assert set(reported) == expected
+                fresh = keys(CoreGapAuditor().audit_schedule(tracer))
+                assert sorted(fresh) == sorted(expected)
+
+    def test_kept_auditor_survives_coalesced_rewrites(self):
+        """Compute-span coalescing inserts spans behind the prefix an
+        auditor already folded; a kept auditor must refold and still
+        agree with a fresh one at every step."""
+        config = SystemConfig(
+            mode="gapped", n_cores=4, seed=7, coalesce_compute=True
+        )
+        system = build_system(config, DEFAULT_COSTS)
+        vm = GuestVm(
+            "cm",
+            vcpus_for(config, 4),
+            coremark_workload_factory(CoremarkStats()),
+            costs=DEFAULT_COSTS,
+        )
+        system.start(system.launch(vm))
+        spans = system.tracer.spans
+        kept = CoreGapAuditor()
+        reported = []
+        rewrites = folded = 0
+        last = None
+        for _ in range(40):
+            system.run_for(us(250))
+            rewrites += folded > 0 and spans[folded - 1] is not last
+            reported += keys(kept.audit_schedule(system.tracer))
+            fresh = keys(CoreGapAuditor().audit_schedule(system.tracer))
+            assert sorted(reported) == sorted(fresh)
+            folded, last = len(spans), spans[-1]
+        assert rewrites >= 1, "no step rewrote the folded prefix"
